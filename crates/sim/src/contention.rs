@@ -19,6 +19,15 @@
 //! in proportion to instance activity (busy workers). Scale-up therefore
 //! increases an instance's share of contended bandwidth — the mechanism
 //! behind Fig. 1's mitigation — while a reservation protects it outright.
+//!
+//! One formula (`PeerSums::rate`) computes every rate from a small
+//! `PeerSums` value. The engine fills it from per-node aggregates it
+//! keeps up to date as instances change (the integer weight total and
+//! the reservation holders), so a compute chunk costs O(reservation
+//! holders) rather than O(co-located peers). `PeerSums::walk` fills
+//! the same value from a full walk of [`node_peers`]; it is the
+//! reference the aggregates are tested against, and the one
+//! [`effective_rate`] and [`effective_rates`] use.
 
 use crate::instance::{Instance, InstanceState};
 use crate::node::Node;
@@ -56,20 +65,30 @@ pub const fn is_reservation(kind: ResourceKind) -> bool {
     matches!(kind, ResourceKind::MemBw | ResourceKind::Llc)
 }
 
+/// The resource kinds [`is_reservation`] accepts.
+const RESERVATION_KINDS: [ResourceKind; 2] = [ResourceKind::MemBw, ResourceKind::Llc];
+
 /// Activity weight of an instance in best-effort sharing: its busy
 /// workers, counting the instance as active while it holds queued work.
-fn weight(inst: &Instance) -> f64 {
-    let w = inst.busy_workers as f64;
-    if w == 0.0 && !inst.queue.is_empty() {
-        1.0
+/// An integer, so a node's weight total is exact in any summation order.
+pub(crate) fn weight(inst: &Instance) -> u64 {
+    if inst.busy_workers == 0 && !inst.queue.is_empty() {
+        1
     } else {
-        w
+        u64::from(inst.busy_workers)
     }
+}
+
+/// Whether `inst` holds a reservation (MemBw or LLC) — the only peers
+/// whose individual state, beyond their weight, enters the rates.
+pub(crate) fn holds_reservation(inst: &Instance) -> bool {
+    RESERVATION_KINDS
+        .iter()
+        .any(|&kind| inst.partition(kind).is_some())
 }
 
 /// The live (non-removed) instances placed on `node`, in placement
 /// order — the peer set the contention model shares capacity over.
-/// A cloneable iterator, so the hot path never materializes a `Vec`.
 pub fn node_peers<'a>(
     node: &'a Node,
     instances: &'a [Instance],
@@ -80,90 +99,170 @@ pub fn node_peers<'a>(
         .filter(|i| i.state != InstanceState::Removed)
 }
 
-/// Effective rate of `target` on resource `kind`.
+/// Everything the rate formula needs to know about a node's peers: the
+/// total activity weight, and per reservation kind the reservation sum,
+/// the part of it carved out of the best-effort pool, and the weight of
+/// the peers holding it.
 ///
-/// `peers` must contain every instance placed on the node, including the
-/// target itself. The returned rate is never below `RATE_FLOOR_FRAC` of
-/// capacity, so service times stay finite under full saturation.
+/// Only reservation holders contribute beyond their weight, so the
+/// engine builds this from its incrementally kept per-node weight total
+/// and holder list ([`PeerSums::new`]) in O(holders) per compute chunk;
+/// [`PeerSums::walk`] builds the same value from a full peer walk.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct PeerSums {
+    weight: u64,
+    reserved: [f64; 5],
+    carve: [f64; 5],
+    held_weight: [u64; 5],
+}
+
+impl PeerSums {
+    /// Sums over a node whose peers weigh `weight_sum` in total and whose
+    /// reservation holders are `holders`, in placement order. Holders
+    /// without a reservation are skipped; the floating-point sums fold
+    /// in the order given.
+    pub(crate) fn new<'a>(
+        node: &Node,
+        weight_sum: u64,
+        holders: impl IntoIterator<Item = &'a Instance>,
+    ) -> Self {
+        let mut sums = PeerSums {
+            weight: weight_sum,
+            reserved: [0.0; 5],
+            carve: [0.0; 5],
+            held_weight: [0; 5],
+        };
+        let total = (weight_sum as f64).max(1.0);
+        for inst in holders {
+            let w = weight(inst);
+            for kind in RESERVATION_KINDS {
+                if let Some(p) = inst.partition(kind) {
+                    let k = kind.index();
+                    // Reservations (CAT/MBA) are *work-conserving*
+                    // guarantees: the part a holder cannot plausibly
+                    // use (bounded by its activity share) returns to
+                    // the best-effort pool, so idle reservations do not
+                    // starve co-located containers.
+                    let activity_share = w as f64 / total * node.capacity(kind) * 1.5;
+                    sums.reserved[k] += p;
+                    sums.carve[k] += p.min(activity_share);
+                    sums.held_weight[k] += w;
+                }
+            }
+        }
+        sums
+    }
+
+    /// The reference construction: one walk over every peer placed on
+    /// the node (the target included), in placement order.
+    pub(crate) fn walk<'a>(node: &Node, peers: impl Iterator<Item = &'a Instance> + Clone) -> Self {
+        let total = peers.clone().map(weight).sum();
+        Self::new(node, total, peers.filter(|i| holds_reservation(i)))
+    }
+
+    /// Effective rate of `target` on resource `kind`. Never below
+    /// `RATE_FLOOR_FRAC` of capacity for shared rates, so service times
+    /// stay finite under full saturation.
+    pub(crate) fn rate(&self, node: &Node, target: &Instance, kind: ResourceKind) -> f64 {
+        let k = kind.index();
+        let capacity = node.capacity(kind);
+        let floor = capacity * RATE_FLOOR_FRAC;
+        let reserve_cap = capacity * MAX_RESERVABLE_FRAC;
+        let rescale = if self.reserved[k] > reserve_cap {
+            reserve_cap / self.reserved[k]
+        } else {
+            1.0
+        };
+        // An explicit partition may be far below the contention floor;
+        // only a tiny absolute epsilon keeps service times finite.
+        let epsilon = capacity * 1e-4;
+        if is_reservation(kind) {
+            if let Some(p) = target.partition(kind) {
+                return (p * rescale).max(epsilon);
+            }
+        }
+
+        // Best-effort pool: capacity minus the *used* part of
+        // reservations minus the anomaly's off-the-top consumption.
+        let pool = (capacity - self.carve[k].min(reserve_cap)).max(0.0);
+        let anomaly = node.anomaly_fraction(kind) * pool * (1.0 - CONTENDER_FLOOR);
+        let free = (pool - anomaly).max(floor);
+
+        let my_weight = weight(target).max(1) as f64;
+        let total_weight = ((self.weight - self.held_weight[k]) as f64).max(my_weight);
+        // The contention floor applies to the *shared* rate; a throttle
+        // below it still sticks (an operator-chosen quota must be
+        // honoured).
+        let fair_share = (free * my_weight / total_weight).max(floor);
+
+        // A throttle caps but does not protect.
+        match target.partition(kind) {
+            Some(p) if !is_reservation(kind) => fair_share.min(p.max(epsilon)),
+            _ => fair_share,
+        }
+    }
+
+    /// Computes all effective rates for `target` in one pass.
+    pub(crate) fn rates(
+        &self,
+        node: &Node,
+        target: &Instance,
+        llc_working_set_mb: f64,
+        llc_sensitivity: f64,
+    ) -> EffectiveRates {
+        let cpu_total = self.rate(node, target, ResourceKind::Cpu);
+        let busy = target.busy_workers.max(1) as f64;
+        let slowdown = cpu_stress_slowdown(node.anomaly_fraction(ResourceKind::Cpu))
+            * instance_stress_factor(target, ResourceKind::Cpu);
+        let cpu_per_worker = (cpu_total / busy).min(1.0) * node.spec.speed * slowdown;
+
+        let stressed = |kind: ResourceKind| {
+            self.rate(node, target, kind) * instance_stress_factor(target, kind)
+        };
+        let mem_mbps = stressed(ResourceKind::MemBw);
+        let llc_mb = stressed(ResourceKind::Llc);
+        let io_mbps = stressed(ResourceKind::IoBw);
+        let net_mbps = stressed(ResourceKind::NetBw);
+        let mem_inflation = llc_inflation(llc_mb, llc_working_set_mb, llc_sensitivity);
+
+        EffectiveRates {
+            cpu_per_worker: cpu_per_worker.max(0.02),
+            mem_mbps,
+            llc_mb,
+            io_mbps,
+            net_mbps,
+            mem_inflation,
+        }
+    }
+}
+
+/// Effective rate of `target` on resource `kind`, by the reference
+/// peer walk. `peers` must contain every instance placed on the node,
+/// including the target itself.
 pub fn effective_rate(
     node: &Node,
     peers: &[&Instance],
     target: &Instance,
     kind: ResourceKind,
 ) -> f64 {
-    effective_rate_iter(node, peers.iter().copied(), target, kind)
+    PeerSums::walk(node, peers.iter().copied()).rate(node, target, kind)
 }
 
-/// Iterator form of [`effective_rate`]: the engine's per-chunk hot path
-/// passes the node's placement list directly instead of collecting a
-/// `Vec<&Instance>` per compute chunk. Iteration order (and therefore
-/// every floating-point sum) is identical to the slice form.
-pub fn effective_rate_iter<'a>(
+/// All effective rates of `target`, by the reference peer walk (see
+/// [`effective_rate`]).
+pub fn effective_rates(
     node: &Node,
-    peers: impl Iterator<Item = &'a Instance> + Clone,
+    peers: &[&Instance],
     target: &Instance,
-    kind: ResourceKind,
-) -> f64 {
-    let capacity = node.capacity(kind);
-    let floor = capacity * RATE_FLOOR_FRAC;
-
-    // Reservations (CAT/MBA) are *work-conserving* guarantees: a
-    // reserved instance is protected up to its guarantee, but the part
-    // of the guarantee it cannot plausibly use (bounded by its activity
-    // share) returns to the best-effort pool, so idle reservations do
-    // not starve co-located containers.
-    let mut reserved_sum = 0.0;
-    let mut reserved_carve = 0.0;
-    let mut be_weight_sum = 0.0;
-    let mut all_weight_sum = 0.0;
-    for inst in peers.clone() {
-        all_weight_sum += weight(inst);
-    }
-    for inst in peers {
-        match inst.partition(kind) {
-            Some(p) if is_reservation(kind) => {
-                reserved_sum += p;
-                let activity_share = weight(inst) / all_weight_sum.max(1.0) * capacity * 1.5;
-                reserved_carve += p.min(activity_share);
-            }
-            _ => be_weight_sum += weight(inst),
-        }
-    }
-
-    let reserve_cap = capacity * MAX_RESERVABLE_FRAC;
-    let rescale = if reserved_sum > reserve_cap {
-        reserve_cap / reserved_sum
-    } else {
-        1.0
-    };
-
-    // An explicit partition may be far below the contention floor; only a
-    // tiny absolute epsilon keeps service times finite.
-    let epsilon = capacity * 1e-4;
-
-    if is_reservation(kind) {
-        if let Some(p) = target.partition(kind) {
-            return (p * rescale).max(epsilon);
-        }
-    }
-
-    // Best-effort pool: capacity minus the *used* part of reservations
-    // minus the anomaly's off-the-top consumption.
-    let pool = (capacity - reserved_carve.min(reserve_cap)).max(0.0);
-    let anomaly = node.anomaly_fraction(kind) * pool * (1.0 - CONTENDER_FLOOR);
-    let free = (pool - anomaly).max(floor);
-
-    let my_weight = weight(target).max(1.0);
-    let total_weight = be_weight_sum.max(my_weight);
-    // The contention floor applies to the *shared* rate; a throttle below
-    // it still sticks (an operator-chosen quota must be honoured).
-    let fair_share = (free * my_weight / total_weight).max(floor);
-
-    // A throttle caps but does not protect.
-    match target.partition(kind) {
-        Some(p) if !is_reservation(kind) => fair_share.min(p.max(epsilon)),
-        _ => fair_share,
-    }
+    llc_working_set_mb: f64,
+    llc_sensitivity: f64,
+) -> EffectiveRates {
+    PeerSums::walk(node, peers.iter().copied()).rates(
+        node,
+        target,
+        llc_working_set_mb,
+        llc_sensitivity,
+    )
 }
 
 /// DRAM-traffic inflation from an LLC share smaller than the working set.
@@ -179,7 +278,6 @@ pub fn llc_inflation(llc_share_mb: f64, working_set_mb: f64, sensitivity: f64) -
     1.0 + sensitivity.max(0.0) * shortfall
 }
 
-/// Computes all effective rates for `target` in one pass.
 /// Per-core slowdown under CPU-stressor contention: a saturating
 /// stressor timeslices against victim threads, so even a single-threaded
 /// victim with quota headroom slows down (factor 3× at full intensity).
@@ -198,111 +296,6 @@ const STRESS_GAIN: [f64; 5] = [2.0, 9.0, 9.0, 6.0, 6.0];
 /// competes head-to-head with the service on that resource.
 fn instance_stress_factor(target: &Instance, kind: ResourceKind) -> f64 {
     1.0 / (1.0 + STRESS_GAIN[kind.index()] * target.stress[kind.index()].max(0.0))
-}
-
-pub fn effective_rates(
-    node: &Node,
-    peers: &[&Instance],
-    target: &Instance,
-    llc_working_set_mb: f64,
-    llc_sensitivity: f64,
-) -> EffectiveRates {
-    effective_rates_iter(
-        node,
-        peers.iter().copied(),
-        target,
-        llc_working_set_mb,
-        llc_sensitivity,
-    )
-}
-
-/// Iterator form of [`effective_rates`] (see [`effective_rate_iter`]).
-///
-/// Fused: one pass computes the activity-weight total and one more
-/// accumulates every resource kind's reservation/best-effort sums, so
-/// the per-chunk hot path walks the peer list twice instead of ten
-/// times (and evaluates each peer's activity weight once per pass).
-/// Per kind, every sum still folds in peer order — results are
-/// bit-identical to five independent [`effective_rate`] calls.
-pub fn effective_rates_iter<'a>(
-    node: &Node,
-    peers: impl Iterator<Item = &'a Instance> + Clone,
-    target: &Instance,
-    llc_working_set_mb: f64,
-    llc_sensitivity: f64,
-) -> EffectiveRates {
-    use crate::resources::RESOURCE_KINDS;
-
-    let mut all_weight_sum = 0.0;
-    for inst in peers.clone() {
-        all_weight_sum += weight(inst);
-    }
-    let mut reserved_sum = [0.0f64; RESOURCE_KINDS.len()];
-    let mut reserved_carve = [0.0f64; RESOURCE_KINDS.len()];
-    let mut be_weight_sum = [0.0f64; RESOURCE_KINDS.len()];
-    for inst in peers {
-        let w = weight(inst);
-        for kind in RESOURCE_KINDS {
-            let k = kind.index();
-            match inst.partition(kind) {
-                Some(p) if is_reservation(kind) => {
-                    reserved_sum[k] += p;
-                    let activity_share = w / all_weight_sum.max(1.0) * node.capacity(kind) * 1.5;
-                    reserved_carve[k] += p.min(activity_share);
-                }
-                _ => be_weight_sum[k] += w,
-            }
-        }
-    }
-
-    let my_weight = weight(target).max(1.0);
-    let rate = |kind: ResourceKind| -> f64 {
-        let k = kind.index();
-        let capacity = node.capacity(kind);
-        let floor = capacity * RATE_FLOOR_FRAC;
-        let reserve_cap = capacity * MAX_RESERVABLE_FRAC;
-        let rescale = if reserved_sum[k] > reserve_cap {
-            reserve_cap / reserved_sum[k]
-        } else {
-            1.0
-        };
-        let epsilon = capacity * 1e-4;
-        if is_reservation(kind) {
-            if let Some(p) = target.partition(kind) {
-                return (p * rescale).max(epsilon);
-            }
-        }
-        let pool = (capacity - reserved_carve[k].min(reserve_cap)).max(0.0);
-        let anomaly = node.anomaly_fraction(kind) * pool * (1.0 - CONTENDER_FLOOR);
-        let free = (pool - anomaly).max(floor);
-        let total_weight = be_weight_sum[k].max(my_weight);
-        let fair_share = (free * my_weight / total_weight).max(floor);
-        match target.partition(kind) {
-            Some(p) if !is_reservation(kind) => fair_share.min(p.max(epsilon)),
-            _ => fair_share,
-        }
-    };
-
-    let cpu_total = rate(ResourceKind::Cpu);
-    let busy = target.busy_workers.max(1) as f64;
-    let slowdown = cpu_stress_slowdown(node.anomaly_fraction(ResourceKind::Cpu))
-        * instance_stress_factor(target, ResourceKind::Cpu);
-    let cpu_per_worker = (cpu_total / busy).min(1.0) * node.spec.speed * slowdown;
-
-    let mem_mbps = rate(ResourceKind::MemBw) * instance_stress_factor(target, ResourceKind::MemBw);
-    let llc_mb = rate(ResourceKind::Llc) * instance_stress_factor(target, ResourceKind::Llc);
-    let io_mbps = rate(ResourceKind::IoBw) * instance_stress_factor(target, ResourceKind::IoBw);
-    let net_mbps = rate(ResourceKind::NetBw) * instance_stress_factor(target, ResourceKind::NetBw);
-    let mem_inflation = llc_inflation(llc_mb, llc_working_set_mb, llc_sensitivity);
-
-    EffectiveRates {
-        cpu_per_worker: cpu_per_worker.max(0.02),
-        mem_mbps,
-        llc_mb,
-        io_mbps,
-        net_mbps,
-        mem_inflation,
-    }
 }
 
 #[cfg(test)]

@@ -170,6 +170,17 @@ struct TraceBuf {
     live: bool,
 }
 
+/// The contention inputs of one node, kept up to date as instances
+/// change instead of recomputed from its peers on every compute chunk.
+#[derive(Debug, Default)]
+struct NodeAggregates {
+    /// Sum of the live peers' activity weights ([`contention::weight`]).
+    weight: u64,
+    /// Live peers holding a MemBw/LLC reservation, in placement order
+    /// (ascending id: a node's placement list is append-only).
+    holders: Vec<InstanceId>,
+}
+
 #[derive(Debug, Default)]
 struct ServiceRuntime {
     replicas: Vec<InstanceId>,
@@ -229,6 +240,11 @@ impl SimulationBuilder {
             events: BinaryHeap::new(),
             rng: SimRng::new(seed),
             config,
+            node_aggregates: cluster
+                .nodes
+                .iter()
+                .map(|_| NodeAggregates::default())
+                .collect(),
             nodes: cluster.nodes.into_iter().map(Node::new).collect(),
             app,
             instances: Vec::new(),
@@ -295,6 +311,8 @@ pub struct Simulation {
     rng: SimRng,
     config: EngineConfig,
     nodes: Vec<Node>,
+    /// Per-node contention inputs, indexed like `nodes`.
+    node_aggregates: Vec<NodeAggregates>,
     app: AppSpec,
     instances: Vec<Instance>,
     services: Vec<ServiceRuntime>,
@@ -655,11 +673,14 @@ impl Simulation {
 
         let inst = &mut self.instances[iid.index()];
         inst.window.arrivals += 1;
+        let before = contention::weight(inst);
         if inst.free_workers() > 0 {
             inst.busy_workers += 1;
+            self.reweigh(iid, before);
             self.begin_work(act_idx);
         } else if inst.queue.len() < inst.queue_cap {
             inst.queue.push_back(act_idx);
+            self.reweigh(iid, before);
         } else {
             inst.window.drops += 1;
             inst.total_drops += 1;
@@ -691,13 +712,9 @@ impl Simulation {
         let dur = if let Some(d) = demand {
             let inst = &self.instances[iid.index()];
             let node = &self.nodes[inst.node.index()];
-            let rates = contention::effective_rates_iter(
-                node,
-                contention::node_peers(node, &self.instances),
-                inst,
-                d.llc_ws_mb,
-                d.llc_sensitivity,
-            );
+            let rates = self
+                .peer_sums(inst.node)
+                .rates(node, inst, d.llc_ws_mb, d.llc_sensitivity);
 
             // LLC misses stall the pipeline: compute time inflates with
             // the same miss factor as DRAM traffic.
@@ -852,13 +869,55 @@ impl Simulation {
         }
         let node = &self.nodes[dst.index()];
         let inst = &self.instances[dst_inst.index()];
-        contention::effective_rate_iter(
+        self.peer_sums(dst)
+            .rate(node, inst, ResourceKind::NetBw)
+            .max(1.0)
+    }
+
+    /// The contention inputs of `node`, from its aggregates: O(holders).
+    fn peer_sums(&self, node: NodeId) -> contention::PeerSums {
+        let agg = &self.node_aggregates[node.index()];
+        let node = &self.nodes[node.index()];
+        let sums = contention::PeerSums::new(
             node,
-            contention::node_peers(node, &self.instances),
-            inst,
-            ResourceKind::NetBw,
-        )
-        .max(1.0)
+            agg.weight,
+            agg.holders.iter().map(|id| &self.instances[id.index()]),
+        );
+        // This crate's tests check every read against the reference
+        // walk, which catches an aggregate updated too late for it.
+        #[cfg(test)]
+        assert_eq!(
+            sums,
+            contention::PeerSums::walk(node, contention::node_peers(node, &self.instances)),
+            "stale node aggregates at {:?}",
+            self.now
+        );
+        sums
+    }
+
+    /// Moves `iid`'s node weight total from the instance's old activity
+    /// weight `before` to its current one. Call it after changing busy
+    /// workers or the queue, before anything reads the node's rates.
+    fn reweigh(&mut self, iid: InstanceId, before: u64) {
+        let inst = &self.instances[iid.index()];
+        let agg = &mut self.node_aggregates[inst.node.index()];
+        agg.weight = agg.weight + contention::weight(inst) - before;
+    }
+
+    /// Brings `iid`'s membership in its node's reservation holders in
+    /// line with its partitions and state. Call it after every
+    /// partition change and when the instance is removed.
+    fn sync_holder(&mut self, iid: InstanceId) {
+        let inst = &self.instances[iid.index()];
+        let holds = inst.state != InstanceState::Removed && contention::holds_reservation(inst);
+        let holders = &mut self.node_aggregates[inst.node.index()].holders;
+        match (holders.binary_search(&iid), holds) {
+            (Err(at), true) => holders.insert(at, iid),
+            (Ok(at), false) => {
+                holders.remove(at);
+            }
+            _ => {}
+        }
     }
 
     fn complete_activity(&mut self, act_idx: usize, dropped: bool) {
@@ -878,13 +937,18 @@ impl Simulation {
         // Free the worker and admit queued work.
         if iid != InstanceId(u32::MAX) && !dropped {
             let inst = &mut self.instances[iid.index()];
+            let before = contention::weight(inst);
             inst.busy_workers = inst.busy_workers.saturating_sub(1);
             inst.window.completions += 1;
             inst.total_completions += 1;
             let span_latency = (self.now - self.activities[act_idx].arrived).as_micros();
             inst.window.latency_sum_us += span_latency;
-            if let Some(next) = self.instances[iid.index()].queue.pop_front() {
-                self.instances[iid.index()].busy_workers += 1;
+            let next = inst.queue.pop_front();
+            if next.is_some() {
+                inst.busy_workers += 1;
+            }
+            self.reweigh(iid, before);
+            if let Some(next) = next {
                 self.begin_work(next);
             }
             self.maybe_finish_draining(iid);
@@ -1148,6 +1212,7 @@ impl Simulation {
                         self.instances[iid.index()].set_partition(kind, p);
                     }
                 }
+                self.sync_holder(iid);
             }
         }
         self.schedule(self.now + latency, EventKind::ActuationDone { cmd });
@@ -1224,12 +1289,14 @@ impl Simulation {
                 let cap = self.nodes[node.index()].capacity(kind);
                 let amount = amount.clamp(cap * 0.001, cap);
                 self.instances[instance.index()].set_partition(kind, Some(amount));
+                self.sync_holder(instance);
             }
             Command::ClearPartition { instance, kind } => {
                 // The CPU quota is structural (it defines the worker pool);
                 // it can be resized but not removed.
                 if kind != ResourceKind::Cpu && instance.index() < self.instances.len() {
                     self.instances[instance.index()].set_partition(kind, None);
+                    self.sync_holder(instance);
                 }
             }
             Command::ScaleOut { service, .. } => {
@@ -1263,7 +1330,12 @@ impl Simulation {
         let inst = &mut self.instances[iid.index()];
         if inst.state == InstanceState::Draining && inst.busy_workers == 0 && inst.queue.is_empty()
         {
+            // A removed instance leaves its node's peers (its weight is
+            // zero here, but the total stays a plain sum over peers).
+            let weight = contention::weight(inst);
             inst.state = InstanceState::Removed;
+            self.node_aggregates[inst.node.index()].weight -= weight;
+            self.sync_holder(iid);
         }
     }
 
@@ -1694,6 +1766,126 @@ mod tests {
         let mut quiet = demo_sim(15);
         quiet.run_for(SimDuration::from_secs(1));
         assert!(quiet.arrival_log().is_empty());
+    }
+
+    /// Asserts that every node's incremental contention aggregates equal
+    /// a fresh walk of its peers — weight total, holder list, and the
+    /// rate inputs built from them, bit for bit.
+    fn assert_aggregates_match_walk(sim: &Simulation) {
+        for (ni, node) in sim.nodes.iter().enumerate() {
+            let agg = &sim.node_aggregates[ni];
+            let peers = contention::node_peers(node, &sim.instances);
+            let weight: u64 = peers.clone().map(contention::weight).sum();
+            let holders: Vec<InstanceId> = node
+                .instances
+                .iter()
+                .copied()
+                .filter(|id| {
+                    let inst = &sim.instances[id.index()];
+                    inst.state != InstanceState::Removed && contention::holds_reservation(inst)
+                })
+                .collect();
+            assert_eq!(agg.weight, weight, "node {ni} weight at {:?}", sim.now);
+            assert_eq!(agg.holders, holders, "node {ni} holders at {:?}", sim.now);
+            assert_eq!(
+                sim.peer_sums(NodeId(ni as u16)),
+                contention::PeerSums::walk(node, peers),
+                "node {ni} peer sums at {:?}",
+                sim.now
+            );
+        }
+    }
+
+    /// `run_for`, checking the aggregates after every event.
+    fn run_checked(sim: &mut Simulation, d: SimDuration) {
+        let deadline = sim.now + d;
+        while sim
+            .events
+            .peek()
+            .is_some_and(|Reverse(e)| e.time <= deadline)
+        {
+            let Reverse(entry) = sim.events.pop().expect("peeked");
+            sim.now = entry.time;
+            sim.dispatch(entry.kind);
+            assert_aggregates_match_walk(sim);
+        }
+        sim.now = sim.now.max(deadline);
+    }
+
+    #[test]
+    fn node_aggregates_match_a_fresh_peer_walk_after_every_event() {
+        let mut app = AppSpec::three_tier_demo();
+        for service in &mut app.services {
+            service.queue_cap = 8;
+        }
+        let mut sim = Simulation::builder(ClusterSpec::small(2), app, 16)
+            .arrivals(Box::new(ConstantArrivals::new(400.0)))
+            .build();
+        let svc = sim.app().service_by_name("logic-a").unwrap();
+        let first = sim.replicas(svc)[0];
+        let holders_of = |sim: &Simulation, id: InstanceId| {
+            sim.node_aggregates[sim.instance(id).node.index()]
+                .holders
+                .contains(&id)
+        };
+        run_checked(&mut sim, SimDuration::from_millis(300));
+
+        // MemBw and LLC reservations set on one replica.
+        for (kind, amount) in [(ResourceKind::MemBw, 6_000.0), (ResourceKind::Llc, 8.0)] {
+            sim.apply(Command::SetPartition {
+                instance: first,
+                kind,
+                amount,
+            });
+        }
+        run_checked(&mut sim, SimDuration::from_millis(300));
+        assert!(holders_of(&sim, first));
+
+        // Scale-out copies both reservations onto the new replica.
+        sim.apply(Command::ScaleOut {
+            service: svc,
+            warm: true,
+        });
+        let copy = *sim.services[svc.index()].replicas.last().unwrap();
+        assert_eq!(
+            sim.instance(copy).partition(ResourceKind::MemBw),
+            Some(6_000.0)
+        );
+        assert!(holders_of(&sim, copy));
+        run_checked(&mut sim, SimDuration::from_millis(300));
+        assert_eq!(sim.replicas(svc).len(), 2);
+
+        // Scale-in drains one replica to `Removed`.
+        sim.apply(Command::ScaleIn { service: svc });
+        run_checked(&mut sim, SimDuration::from_millis(500));
+        let removed = [first, copy]
+            .into_iter()
+            .find(|id| sim.instance(*id).state == InstanceState::Removed)
+            .expect("scale-in drained a replica to Removed");
+        assert!(!holders_of(&sim, removed));
+
+        // Clearing the survivor's reservations empties every holder list.
+        let survivor = sim.replicas(svc)[0];
+        for kind in [ResourceKind::MemBw, ResourceKind::Llc] {
+            sim.apply(Command::ClearPartition {
+                instance: survivor,
+                kind,
+            });
+        }
+        run_checked(&mut sim, SimDuration::from_millis(300));
+        assert!(sim.node_aggregates.iter().all(|a| a.holders.is_empty()));
+
+        // Squeezing the frontend's CPU overflows its queue.
+        sim.apply(Command::SetPartition {
+            instance: InstanceId(0),
+            kind: ResourceKind::Cpu,
+            amount: 0.05,
+        });
+        run_checked(&mut sim, SimDuration::from_secs(1));
+        assert!(
+            sim.instance(InstanceId(0)).total_drops > 0,
+            "no queue overflow"
+        );
     }
 
     #[test]

@@ -10,6 +10,11 @@ use firm::sim::spec::{AppSpec, ClusterSpec};
 use firm::sim::{SimDuration, SimTime, Simulation};
 use firm::workload::{LoadShape, ReplayTrace};
 
+/// The worker binary cargo built for this package's tests.
+fn worker_bin() -> std::path::PathBuf {
+    env!("CARGO_BIN_EXE_firm-worker").into()
+}
+
 /// The full built-in catalog, shortened so three fleet runs fit in a
 /// test budget. Shortening is part of the scenario data, so every run
 /// sees the same specs.
@@ -410,6 +415,7 @@ fn prioritized_replay_is_bit_identical_with_subprocess_workers() {
 
     let workers = FleetRunner::new(FleetConfig {
         workers: 2,
+        worker_bin: Some(worker_bin()),
         seed: 909,
         train_steps: 32,
         replay_priority: true,
@@ -444,6 +450,7 @@ fn sequential_serve_submissions_reproduce_the_batch_run() {
     let scenarios = training_catalog();
     let config = FleetConfig {
         workers: 2,
+        worker_bin: Some(worker_bin()),
         seed: 7,
         train_steps: 32,
         replay_priority: true,

@@ -27,6 +27,11 @@ use firm::fleet::worker::{serve_session, ServeOptions};
 use firm::fleet::{generate_catalog, CatalogSpec, FleetConfig, FleetRunner, Scenario};
 use firm::sim::SimDuration;
 
+/// The worker binary cargo built for this package's tests.
+fn worker_bin() -> std::path::PathBuf {
+    env!("CARGO_BIN_EXE_firm-worker").into()
+}
+
 /// The golden digest for `generate_catalog(CatalogSpec::new(7, 1))`
 /// run with fleet seed 7 (the catalog's own default durations). Moving
 /// it means the sampler, the scenario wire shape, or the execution
@@ -109,6 +114,7 @@ fn generated_sf1_seed7_digest_is_pinned_across_threads_workers_and_shards() {
     // end to end.
     let workers = FleetRunner::new(FleetConfig {
         workers: 2,
+        worker_bin: Some(worker_bin()),
         seed: 7,
         train_steps: 64,
         ..FleetConfig::default()
