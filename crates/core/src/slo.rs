@@ -118,6 +118,9 @@ pub fn window_violates(
 /// Calibrates each request type's SLO to `factor ×` its measured healthy
 /// p99 at the given load — the usual way operators pick tail SLOs. Runs
 /// a short unmanaged, anomaly-free simulation and mutates `app`.
+///
+/// The pilot's wall time is recorded to the `stage.calibrate_us`
+/// histogram (out-of-band, like `stage.sim_us`): one sample per pilot.
 pub fn calibrate_slos(
     app: &mut AppSpec,
     cluster: &firm_sim::spec::ClusterSpec,
@@ -125,6 +128,7 @@ pub fn calibrate_slos(
     factor: f64,
     seed: u64,
 ) {
+    let started = std::time::Instant::now();
     let mut sim = firm_sim::Simulation::builder(cluster.clone(), app.clone(), seed)
         .arrivals(Box::new(firm_sim::PoissonArrivals::new(rate)))
         .build();
@@ -145,6 +149,9 @@ pub fn calibrate_slos(
         let p99 = firm_sim::stats::sample_quantile(lats, 0.99);
         rt.slo_latency_us = ((p99 * factor) as u64).max(1_000);
     }
+    firm_obs::metrics()
+        .histogram("stage.calibrate_us")
+        .record(started.elapsed().as_micros() as u64);
 }
 
 #[cfg(test)]

@@ -30,11 +30,13 @@ use firm_sim::Simulation;
 use crate::report::ScenarioOutcome;
 use crate::scenario::{FleetController, Scenario};
 
-/// Builds the live controller for a scenario. With `policy` set, a FIRM
-/// scenario deploys the frozen shared agent (inference mode) instead of
-/// training a fresh one. `intra_shards` sets the FIRM manager's
-/// intra-scenario stage fan-out; it changes wall-clock time only, never
-/// a result byte (the property `tests/fleet_determinism.rs` pins).
+/// Builds the live controller for a scenario. With `policy` set, a
+/// controller that [takes a policy](FleetController::takes_policy)
+/// (FIRM) deploys the frozen shared agent (inference mode) instead of
+/// training a fresh one; every other controller never sees it.
+/// `intra_shards` sets the FIRM manager's intra-scenario stage fan-out;
+/// it changes wall-clock time only, never a result byte (the property
+/// `tests/fleet_determinism.rs` pins).
 fn build_controller(
     scenario: &Scenario,
     seed: u64,
@@ -42,6 +44,7 @@ fn build_controller(
     policy: Option<&PolicyCheckpoint>,
     intra_shards: usize,
 ) -> Box<dyn Controller> {
+    let policy = policy.filter(|_| scenario.controller.takes_policy());
     match scenario.controller {
         FleetController::Unmanaged => Box::new(Unmanaged),
         FleetController::Firm => {
@@ -231,6 +234,35 @@ mod tests {
         // The deploy pass itself is deterministic.
         let (again, _) = run_one_with(&scenario, 9, Some(&frozen));
         assert_eq!(deployed, again);
+    }
+
+    /// The round trip's deploy pass skips every scenario whose
+    /// controller does not take a policy and reuses its training
+    /// outcome. That is only sound while the policy really changes
+    /// nothing for them: a controller that starts reading it must fail
+    /// here (and be made to take a policy), not quietly report stale
+    /// deploy numbers.
+    #[test]
+    fn a_policy_changes_nothing_for_controllers_that_do_not_take_one() {
+        let frozen =
+            Controller::export_policy(&FirmManager::new(FirmConfig::default())).expect("policy");
+        let baselines: Vec<Scenario> = builtin_catalog()
+            .into_iter()
+            .filter(|s| !s.controller.takes_policy())
+            .map(|s| s.with_duration(SimDuration::from_secs(4)))
+            .collect();
+        assert_eq!(baselines.len(), 5);
+        for s in &baselines {
+            let (plain, plain_log) = run_one(s, 31);
+            let (deployed, deployed_log) = run_one_with(s, 31, Some(&frozen));
+            assert_eq!(plain, deployed, "{}: the policy moved the outcome", s.name);
+            assert_eq!(
+                format!("{plain_log:?}"),
+                format!("{deployed_log:?}"),
+                "{}: the policy moved the experience",
+                s.name
+            );
+        }
     }
 
     #[test]

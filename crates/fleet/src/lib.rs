@@ -28,8 +28,8 @@
 //!   agent on the pooled, heterogeneous experience — the paper's
 //!   one-for-all regime fed by many apps at once.
 //!   [`FleetRunner::run_round_trip`] then freezes that agent and
-//!   re-runs the catalog in inference mode, reporting per-scenario
-//!   train-vs-deploy deltas (Fig. 11b at fleet scale);
+//!   re-runs the catalog's FIRM scenarios in inference mode, reporting
+//!   per-scenario train-vs-deploy deltas (Fig. 11b at fleet scale);
 //! * [`report`] — the aggregated [`FleetReport`] and the round-trip
 //!   [`RoundTripReport`]: per-scenario SLO violation rates, p99
 //!   latencies, mitigation times, train-vs-deploy deltas, and total

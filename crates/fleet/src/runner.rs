@@ -228,7 +228,12 @@ impl FleetConfig {
 pub struct RoundTripResult {
     /// The training pass (report + trained shared pipeline).
     pub train: FleetResult,
-    /// The deployment (inference) pass over the same catalog.
+    /// The deployment (inference) pass over the same catalog, one entry
+    /// per scenario in catalog order. Only the scenarios whose
+    /// controller [takes a policy](crate::FleetController::takes_policy)
+    /// (FIRM) were re-run; every other entry is that scenario's
+    /// training-pass outcome, which is what a re-run with the policy
+    /// would produce by construction.
     pub deploy: FleetReport,
     /// The frozen policy the deployment pass ran.
     pub policy: PolicyCheckpoint,
@@ -292,7 +297,8 @@ impl FleetRunner {
     /// Panics if a worker thread panics (a scenario run itself panicked)
     /// or if `scenarios` is empty.
     pub fn run(&self, scenarios: &[Scenario]) -> FleetResult {
-        let (slots, worker_ops) = self.execute(scenarios, None);
+        let all: Vec<usize> = (0..scenarios.len()).collect();
+        let (slots, worker_ops) = self.execute(scenarios, &all, None);
         self.aggregate(slots, worker_ops)
     }
 
@@ -317,7 +323,9 @@ impl FleetRunner {
         assert!(!scenarios.is_empty(), "fleet needs at least one scenario");
         assert!(!transports.is_empty(), "fleet needs at least one transport");
         let config = self.supervisor_config();
-        let (slots, worker_ops) = supervise(transports, scenarios, self.config.seed, None, &config);
+        let all: Vec<usize> = (0..scenarios.len()).collect();
+        let (slots, worker_ops) =
+            supervise(transports, scenarios, &all, self.config.seed, None, &config);
         self.aggregate(slots, worker_ops)
     }
 
@@ -374,11 +382,19 @@ impl FleetRunner {
         }
     }
 
-    /// Trains across the catalog, freezes the shared agent, and re-runs
-    /// the *same* catalog (same derived seeds, hence the same arrival
-    /// sequences and anomaly campaigns) with the frozen policy deployed
-    /// in inference mode. [`RoundTripResult::report`] combines both
-    /// passes with the per-scenario deltas.
+    /// Trains across the catalog, freezes the shared agent, and deploys
+    /// it in inference mode back onto the *same* catalog (same derived
+    /// seeds, hence the same arrival sequences and anomaly campaigns).
+    /// [`RoundTripResult::report`] combines both passes with the
+    /// per-scenario deltas.
+    ///
+    /// The deploy pass re-runs only the scenarios whose controller
+    /// [takes a policy](crate::FleetController::takes_policy) — the
+    /// FIRM subset, each at its own catalog index and so with its own
+    /// seed. Every other controller never sees the policy, so its
+    /// deploy entry is its training outcome by construction and is
+    /// copied from the training report; a catalog with no FIRM
+    /// scenario deploys without running anything.
     ///
     /// Like [`FleetRunner::run`], the whole round trip is bit-identical
     /// at any thread count: the deploy pass derives per-scenario seeds
@@ -392,12 +408,20 @@ impl FleetRunner {
         let (actor, critic) = train.estimator.shared_agent().export_weights();
         let policy = PolicyCheckpoint { actor, critic };
 
-        // The deploy pass's worker snapshots are folded into the same
-        // process-cumulative registries; the train pass's OpsReport
-        // already tells the operability story, so they are not kept
-        // separately.
-        let (slots, _deploy_ops) = self.execute(scenarios, Some(&policy));
-        let outcomes = slots.into_iter().map(|(outcome, _)| outcome).collect();
+        let deployed: Vec<usize> = (0..scenarios.len())
+            .filter(|&i| scenarios[i].controller.takes_policy())
+            .collect();
+        let mut outcomes = train.report.scenarios.clone();
+        if !deployed.is_empty() {
+            // The deploy pass's worker snapshots are folded into the
+            // same process-cumulative registries; the train pass's
+            // OpsReport already tells the operability story, so they
+            // are not kept separately.
+            let (slots, _deploy_ops) = self.execute(scenarios, &deployed, Some(&policy));
+            for (&i, (outcome, _)) in deployed.iter().zip(slots) {
+                outcomes[i] = outcome;
+            }
+        }
         let deploy = FleetReport::new(self.config.seed, outcomes);
 
         RoundTripResult {
@@ -407,27 +431,31 @@ impl FleetRunner {
         }
     }
 
-    /// Runs every scenario across the worker pool (threads or
-    /// subprocesses, per the config), returning results in catalog
-    /// order. The shared skeleton of the training and deployment
-    /// passes; `policy` deploys a frozen agent into FIRM scenarios.
+    /// Runs the scenarios at the catalog `indices` across the worker
+    /// pool (threads or subprocesses, per the config), returning their
+    /// results in the order of `indices`. Each keeps the seed of its
+    /// catalog index, so a subset runs exactly as it would inside the
+    /// whole catalog. The shared skeleton of the training pass (every
+    /// index) and the deployment pass (the FIRM indices); `policy`
+    /// deploys a frozen agent into FIRM scenarios.
     fn execute(
         &self,
         scenarios: &[Scenario],
+        indices: &[usize],
         policy: Option<&PolicyCheckpoint>,
     ) -> (Vec<(ScenarioOutcome, ExperienceLog)>, Vec<WorkerOps>) {
-        assert!(!scenarios.is_empty(), "fleet needs at least one scenario");
+        assert!(!indices.is_empty(), "fleet needs at least one scenario");
         if self.config.workers > 0 || !self.config.remote_workers.is_empty() {
-            self.execute_supervised(scenarios, policy)
+            self.execute_supervised(scenarios, indices, policy)
         } else {
             // The thread path has no worker processes; its scenario and
             // stage metrics land directly in this process's registry.
-            (self.execute_threads(scenarios, policy), Vec::new())
+            (self.execute_threads(scenarios, indices, policy), Vec::new())
         }
     }
 
-    /// The in-process path: OS threads claiming catalog indices from an
-    /// atomic counter.
+    /// The in-process path: OS threads claiming positions in `indices`
+    /// from an atomic counter.
     ///
     /// With [`FleetConfig::intra_shards`] above 1, scenario workers and
     /// intra-scenario shards are co-scheduled against one core budget:
@@ -440,40 +468,41 @@ impl FleetRunner {
     fn execute_threads(
         &self,
         scenarios: &[Scenario],
+        indices: &[usize],
         policy: Option<&PolicyCheckpoint>,
     ) -> Vec<(ScenarioOutcome, ExperienceLog)> {
         let intra_shards = self.config.intra_shards.max(1);
         let threads = (self.config.effective_threads() / intra_shards)
             .max(1)
-            .min(scenarios.len());
+            .min(indices.len());
         let fleet_seed = self.config.seed;
 
         let next = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<(usize, ScenarioOutcome, ExperienceLog)>();
         let mut slots: Vec<Option<(ScenarioOutcome, ExperienceLog)>> =
-            (0..scenarios.len()).map(|_| None).collect();
+            (0..indices.len()).map(|_| None).collect();
 
         thread::scope(|scope| {
             for _ in 0..threads {
                 let tx = tx.clone();
                 let next = &next;
                 scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(scenario) = scenarios.get(i) else {
+                    let k = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&i) = indices.get(k) else {
                         break;
                     };
                     let seed = scenario_seed(fleet_seed, i);
-                    let (outcome, log) = run_one_sharded(scenario, seed, policy, intra_shards);
+                    let (outcome, log) = run_one_sharded(&scenarios[i], seed, policy, intra_shards);
                     // The collector hanging up is impossible while the
                     // scope lives; a send error would mean a collector
                     // bug, so surface it.
-                    tx.send((i, outcome, log)).expect("collector alive");
+                    tx.send((k, outcome, log)).expect("collector alive");
                 });
             }
             drop(tx);
             // Collect on the scope's owning thread while workers run.
-            for (i, outcome, log) in rx {
-                slots[i] = Some((outcome, log));
+            for (k, outcome, log) in rx {
+                slots[k] = Some((outcome, log));
             }
         });
 
@@ -486,11 +515,12 @@ impl FleetRunner {
     /// The sharded path: build one [`Transport`] per worker —
     /// [`PipeTransport`]s for [`FleetConfig::workers`] subprocesses,
     /// [`TcpTransport`]s for every [`FleetConfig::remote_workers`]
-    /// address — and hand the catalog to the [`crate::supervisor`],
-    /// which owns dispatch (idle-queue, one outstanding scenario per
-    /// worker), liveness (per-request timeout, heartbeat silence, EOF),
-    /// and restart-and-replay. Results come back in catalog order, so
-    /// aggregation is byte-identical to the thread path.
+    /// address — and hand the scenarios at `indices` to the
+    /// [`crate::supervisor`], which owns dispatch (idle-queue, one
+    /// outstanding scenario per worker), liveness (per-request timeout,
+    /// heartbeat silence, EOF), and restart-and-replay. Results come
+    /// back in the order of `indices`, so aggregation is byte-identical
+    /// to the thread path.
     ///
     /// # Panics
     ///
@@ -502,10 +532,11 @@ impl FleetRunner {
     fn execute_supervised(
         &self,
         scenarios: &[Scenario],
+        indices: &[usize],
         policy: Option<&PolicyCheckpoint>,
     ) -> (Vec<(ScenarioOutcome, ExperienceLog)>, Vec<WorkerOps>) {
         // More subprocesses than scenarios would sit idle forever.
-        let pipes = self.config.workers.min(scenarios.len());
+        let pipes = self.config.workers.min(indices.len());
         let mut transports: Vec<Box<dyn Transport>> = Vec::new();
         if pipes > 0 {
             let bin = self.config.resolve_worker_bin();
@@ -521,7 +552,14 @@ impl FleetRunner {
         );
 
         let config = self.supervisor_config();
-        supervise(transports, scenarios, self.config.seed, policy, &config)
+        supervise(
+            transports,
+            scenarios,
+            indices,
+            self.config.seed,
+            policy,
+            &config,
+        )
     }
 
     /// The supervisor knobs derived from the fleet config, shared by
@@ -660,42 +698,63 @@ mod tests {
         );
     }
 
+    /// Runs over three catalogs: a mixed one, one with no FIRM scenario
+    /// (the deploy pass has nothing to run), and one that is all FIRM.
     #[test]
     fn round_trip_deploys_the_frozen_policy_over_the_same_catalog() {
-        let scenarios = short_catalog(5, 6);
-        let rt = FleetRunner::new(FleetConfig {
-            threads: 2,
-            seed: 17,
-            train_steps: 64,
-            ..FleetConfig::default()
-        })
-        .run_round_trip(&scenarios);
+        let mixed = short_catalog(5, 6);
+        let pick = |firm: bool, n: usize| -> Vec<Scenario> {
+            builtin_catalog()
+                .into_iter()
+                .filter(|s| s.controller.takes_policy() == firm)
+                .take(n)
+                .map(|s| s.with_duration(SimDuration::from_secs(6)))
+                .collect()
+        };
+        for scenarios in [mixed, pick(false, 3), pick(true, 2)] {
+            let rt = FleetRunner::new(FleetConfig {
+                threads: 2,
+                seed: 17,
+                train_steps: 64,
+                ..FleetConfig::default()
+            })
+            .run_round_trip(&scenarios);
 
-        let report = rt.report();
-        assert_eq!(report.deltas.len(), 5);
-        for (s, d) in scenarios.iter().zip(&report.deltas) {
-            assert_eq!(s.name, d.name);
-        }
-        // The frozen policy only changes FIRM rows: baseline scenarios
-        // reproduce their training-pass outcome bit for bit.
-        let mut baselines = 0;
-        for (t, d) in rt.train.report.scenarios.iter().zip(&rt.deploy.scenarios) {
-            if t.controller != "FIRM" {
-                assert_eq!(t, d, "{}: baseline diverged across passes", t.name);
-                baselines += 1;
+            let report = rt.report();
+            assert_eq!(report.deltas.len(), scenarios.len());
+            for (s, d) in scenarios.iter().zip(&report.deltas) {
+                assert_eq!(s.name, d.name);
             }
+            // The frozen policy only changes FIRM rows: baseline
+            // scenarios keep their training-pass outcome bit for bit.
+            for (t, d) in rt.train.report.scenarios.iter().zip(&rt.deploy.scenarios) {
+                if t.controller != "FIRM" {
+                    assert_eq!(t, d, "{}: baseline diverged across passes", t.name);
+                }
+            }
+            if scenarios.iter().all(|s| !s.controller.takes_policy()) {
+                assert_eq!(rt.deploy.to_json(), rt.train.report.to_json());
+                for d in &report.deltas {
+                    assert_eq!(d.violation_rate_improvement(), 0.0, "{}", d.name);
+                    assert_eq!(d.train_p99_us, d.deploy_p99_us, "{}", d.name);
+                    assert_eq!(
+                        d.train_mean_mitigation_secs, d.deploy_mean_mitigation_secs,
+                        "{}",
+                        d.name
+                    );
+                }
+            }
+            // Inference mode harvests nothing.
+            assert_eq!(
+                rt.deploy.totals.transitions, 0,
+                "deploy pass recorded experience"
+            );
+            assert_eq!(rt.deploy.totals.svm_examples, 0);
+            // The frozen policy is the trained shared agent's weights.
+            let (actor, critic) = rt.train.estimator.shared_agent().export_weights();
+            assert_eq!(rt.policy.actor, actor);
+            assert_eq!(rt.policy.critic, critic);
         }
-        assert!(baselines > 0, "catalog prefix has no baseline scenario");
-        // Inference mode harvests nothing.
-        assert_eq!(
-            rt.deploy.totals.transitions, 0,
-            "deploy pass recorded experience"
-        );
-        assert_eq!(rt.deploy.totals.svm_examples, 0);
-        // The frozen policy is the trained shared agent's weights.
-        let (actor, critic) = rt.train.estimator.shared_agent().export_weights();
-        assert_eq!(rt.policy.actor, actor);
-        assert_eq!(rt.policy.critic, critic);
     }
 
     #[test]

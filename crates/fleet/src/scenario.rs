@@ -42,6 +42,14 @@ impl FleetController {
             FleetController::Aimd => "AIMD",
         }
     }
+
+    /// Whether a deployed frozen policy reaches this controller. Only
+    /// FIRM reads one; every other controller runs the same with or
+    /// without it, so a round trip's deploy pass skips them and keeps
+    /// their training-pass outcomes.
+    pub const fn takes_policy(self) -> bool {
+        matches!(self, FleetController::Firm)
+    }
 }
 
 impl FromStr for FleetController {

@@ -131,9 +131,10 @@ pub struct JobDone {
     pub result: Result<(ScenarioOutcome, ExperienceLog), String>,
 }
 
-/// Runs `scenarios` over a pool of transport-backed workers and returns
-/// `(outcome, experience)` in catalog order — the supervised equivalent
-/// of the in-process thread path, bit-identical to it — plus each
+/// Runs the scenarios at the catalog `indices` over a pool of
+/// transport-backed workers and returns their `(outcome, experience)` in
+/// the order of `indices` — the supervised equivalent of the in-process
+/// thread path, bit-identical to it — plus each
 /// worker's session-end metrics snapshot (labeled `slot<N>:<transport>`,
 /// missing for workers that died before a graceful session end). The
 /// snapshots are pure diagnostics: they ride a separate frame and never
@@ -143,12 +144,14 @@ pub struct JobDone {
 ///
 /// Panics when the fleet cannot finish exactly: an initial connection
 /// fails, a scenario exhausts [`SupervisorConfig::max_attempts`], or
-/// every worker dies. (The resident [`WorkerPool`] underneath reports
+/// every worker dies. Also panics if an index is out of range or
+/// repeated. (The resident [`WorkerPool`] underneath reports
 /// these as per-job [`JobDone`] failures; the batch shape has no
 /// partial result worth salvaging, so it panics.)
 pub fn supervise(
     transports: Vec<Box<dyn Transport>>,
     scenarios: &[Scenario],
+    indices: &[usize],
     fleet_seed: u64,
     policy: Option<&PolicyCheckpoint>,
     config: &SupervisorConfig,
@@ -160,20 +163,21 @@ pub fn supervise(
     let pool = WorkerPool::start(transports, config.clone()).unwrap_or_else(|e| panic!("{e}"));
     let policy = policy.map(|p| Arc::new(p.clone()));
     let (reply_tx, reply_rx) = mpsc::channel();
-    for (i, scenario) in scenarios.iter().enumerate() {
+    for &i in indices {
         pool.submit(PoolJob {
             index: i as u64,
             seed: scenario_seed(fleet_seed, i),
-            scenario: scenario.clone(),
+            scenario: scenarios[i].clone(),
             policy: policy.clone(),
             reply: reply_tx.clone(),
         });
     }
     drop(reply_tx);
 
+    // Keyed by catalog index, the index each job carries on the wire.
     let mut results: Vec<Option<(ScenarioOutcome, ExperienceLog)>> =
         (0..scenarios.len()).map(|_| None).collect();
-    for _ in 0..scenarios.len() {
+    for _ in 0..indices.len() {
         let done = reply_rx
             .recv()
             .expect("the pool delivers every submitted job");
@@ -187,9 +191,9 @@ pub fn supervise(
         }
     }
     let worker_ops = pool.shutdown();
-    let results = results
-        .into_iter()
-        .map(|slot| slot.expect("every scenario ran"))
+    let results = indices
+        .iter()
+        .map(|&i| results[i].take().expect("every scenario ran"))
         .collect();
     (results, worker_ops)
 }

@@ -72,13 +72,34 @@ fn subprocess_fleet_is_bit_identical_to_in_process_at_1_2_and_4_workers() {
     }
 }
 
+/// The deploy pass dispatches only the FIRM scenarios, each under its
+/// catalog index. The second catalog puts a baseline between two FIRM
+/// rows, so the subset is not a prefix: workers handed the subset under
+/// its positions instead of its catalog indices would run the wrong
+/// seeds and diverge from the in-process pass.
 #[test]
 fn subprocess_round_trip_reproduces_policy_bytes_and_digest() {
-    let scenarios = short_catalog(3);
-    let in_process = FleetRunner::new(config(77, 32)).run_round_trip(&scenarios);
+    let interleaved: Vec<Scenario> = builtin_catalog()
+        .into_iter()
+        .enumerate()
+        .filter(|(i, _)| [0, 4, 5, 6].contains(i))
+        .map(|(_, s)| s.with_duration(SimDuration::from_secs(6)))
+        .collect();
+    let controllers: Vec<bool> = interleaved
+        .iter()
+        .map(|s| s.controller.takes_policy())
+        .collect();
+    assert_eq!(controllers, [true, false, true, false]);
+    for scenarios in [short_catalog(3), interleaved] {
+        round_trip_matches_in_process(&scenarios);
+    }
+}
+
+fn round_trip_matches_in_process(scenarios: &[Scenario]) {
+    let in_process = FleetRunner::new(config(77, 32)).run_round_trip(scenarios);
 
     for workers in [1usize, 2] {
-        let rt = FleetRunner::new(config(77, 32).workers(workers)).run_round_trip(&scenarios);
+        let rt = FleetRunner::new(config(77, 32).workers(workers)).run_round_trip(scenarios);
         assert_eq!(
             in_process.policy, rt.policy,
             "frozen policy bytes diverged at {workers} workers"

@@ -1,7 +1,7 @@
 //! Run the built-in scenario catalog round trip: train the shared
 //! agent across all tenants, freeze it, deploy it back onto the same
-//! catalog in inference mode, and print the per-scenario
-//! train-vs-deploy deltas (Fig. 11b at fleet scale).
+//! catalog's FIRM tenants in inference mode, and print the
+//! per-scenario train-vs-deploy deltas (Fig. 11b at fleet scale).
 //!
 //! ```sh
 //! cargo run --release --example fleet_catalog
@@ -12,8 +12,6 @@ use firm::sim::SimDuration;
 use firm::wire;
 
 fn main() {
-    // Half-length scenarios keep the double pass close to the old
-    // single-pass wall time.
     let scenarios: Vec<Scenario> = builtin_catalog()
         .into_iter()
         .map(|s| s.with_duration(SimDuration::from_secs(15)))

@@ -171,6 +171,24 @@ fn round_trip_is_bit_identical_across_thread_counts() {
         base.deploy.totals.completions
     );
     assert_eq!(base.report().deltas.len(), scenarios.len());
+    // Pinned: FIRM rows interleave with baseline rows here, so a deploy
+    // pass that ran the wrong catalog index, or the wrong seed for one,
+    // moves these even if it stays thread-count invariant.
+    assert_eq!(
+        base.report().digest(),
+        0xb5de_148c_df17_807f,
+        "round-trip digest drifted"
+    );
+    assert_eq!(
+        base.deploy.digest(),
+        0x8663_c221_c2cf_0deb,
+        "deploy-pass digest drifted"
+    );
+    assert_eq!(
+        base.policy.digest(),
+        0x6fcc_16ca_ffe6_8c16,
+        "frozen policy digest drifted"
+    );
 
     // Round-trip reports and policy checkpoints are wire-symmetric too.
     let report = base.report();
